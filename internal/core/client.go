@@ -580,37 +580,9 @@ func (c *Client) PutContext(ctx context.Context, id model.BlockID, data []byte) 
 		chunkSize = int64(len(chunks[0]))
 	}
 
-	// Store chunks with bounded fan-out: at most cfg.PutFanout workers
-	// drain the chunk list, so concurrent Puts cannot multiply into an
-	// unbounded goroutine swarm while one slow site backs writes up.
-	errs := make([]error, len(chunks))
-	workers := c.cfg.PutFanout
-	if workers < 0 || workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				site := c.sites[chosen[i]]
-				if site == nil {
-					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
-					continue
-				}
-				cctx, ccancel := c.chunkCtx(ctx)
-				errs[i] = site.PutChunk(cctx, model.ChunkRef{Block: id, Chunk: i}, chunks[i])
-				ccancel()
-			}
-		}()
-	}
-	wg.Wait()
+	errs := c.storeChunks(ctx, id, chosen, chunks, func(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef, data []byte) error {
+		return api.PutChunk(ctx, ref, data)
+	})
 	// Every site has ingested (or failed) its chunk; recycle the pooled
 	// stripe before the slower metadata and rollback steps.
 	if stripe != nil {
@@ -646,6 +618,43 @@ func (c *Client) PutContext(ctx context.Context, id model.BlockID, data []byte) 
 	c.cache.Invalidate(id)
 	c.obs.puts.Inc()
 	return nil
+}
+
+// storeChunks writes chunks[i] to site chosen[i] through store with
+// bounded fan-out: at most cfg.PutFanout workers drain the chunk list,
+// so concurrent writes cannot multiply into an unbounded goroutine swarm
+// while one slow site backs them up. Each store runs under the per-chunk
+// deadline. It returns the per-chunk errors, indexed like chunks.
+func (c *Client) storeChunks(ctx context.Context, id model.BlockID, chosen []model.SiteID, chunks [][]byte, store func(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef, data []byte) error) []error {
+	errs := make([]error, len(chunks))
+	workers := c.cfg.PutFanout
+	if workers < 0 || workers > len(chunks) {
+		workers = len(chunks)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(chunks) {
+					return
+				}
+				api := c.sites[chosen[i]]
+				if api == nil {
+					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
+					continue
+				}
+				cctx, ccancel := c.chunkCtx(ctx)
+				errs[i] = store(cctx, api, model.ChunkRef{Block: id, Chunk: i}, chunks[i])
+				ccancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // cleanupChunks best-effort deletes the chunks an aborted Put already
@@ -892,13 +901,43 @@ func (c *Client) readMisses(ctx context.Context, req placement.PlanRequest, tr *
 	return out, fetchErr
 }
 
-// fetchBlocks runs read phases R2 (access planning) and R3 (parallel
-// retrieval + decode) for the blocks in req, accumulating phase
-// durations into bd. Cache hits never reach this path.
+// fetchBlocks reads the blocks in req through planFetch and decodes
+// them (read phase R3b), accumulating phase durations into bd. Cache
+// hits never reach this path.
 func (c *Client) fetchBlocks(ctx context.Context, req placement.PlanRequest, tr *obs.Trace, bd *model.Breakdown) (map[model.BlockID][]byte, error) {
-	metas := req.Metas
+	chunks, err := c.planFetch(ctx, req, nil, tr, bd)
+	if err != nil {
+		return nil, err
+	}
+	t3 := time.Now()
+	sp := tr.StartSpan("decode")
+	defer sp.End()
+	out := make(map[model.BlockID][]byte, len(req.Metas))
+	for id, meta := range req.Metas {
+		data, err := c.assemble(meta, chunks[id])
+		if err != nil {
+			return nil, fmt.Errorf("decode %s: %w", id, err)
+		}
+		out[id] = data
+	}
+	bd.Decode += time.Since(t3).Seconds()
+	c.obs.decodeH.Observe(time.Since(t3).Seconds())
+	return out, nil
+}
 
-	// R2: access planning.
+// planFetch is the one read engine behind GetMulti and GetRange: read
+// phases R2 (Eq. 1 access planning, late binding) and R3a (parallel
+// retrieval with hedging) for the blocks in req, returning each block's
+// fetched chunks and accumulating phase durations into bd. wins narrows
+// a block's chunk reads to a byte window; blocks without one (and a nil
+// wins) read whole chunks.
+//
+// Site failures are discovered one fetch at a time (an RPC error opens
+// the site's breaker), so replanning retries while the failure set keeps
+// changing; once it stops changing, another round would reproduce the
+// same plan, so the loop exits with the terminal error instead of
+// spinning.
+func (c *Client) planFetch(ctx context.Context, req placement.PlanRequest, wins map[model.BlockID]window, tr *obs.Trace, bd *model.Breakdown) (map[model.BlockID]map[int][]byte, error) {
 	t1 := time.Now()
 	sp := tr.StartSpan("plan")
 	plan, _, err := c.plan.Plan(req, c.costs())
@@ -909,15 +948,11 @@ func (c *Client) fetchBlocks(ctx context.Context, req placement.PlanRequest, tr 
 	bd.Planning += time.Since(t1).Seconds()
 	c.obs.planH.Observe(time.Since(t1).Seconds())
 
-	// R3: retrieval and decode. Site failures are discovered one fetch
-	// at a time (an RPC error opens the site's breaker), so replanning
-	// retries while the failure set keeps changing; once it stops
-	// changing, another round would reproduce the same plan, so the
-	// loop exits with the terminal error instead of spinning.
 	t2 := time.Now()
 	sp = tr.StartSpan("fetch")
+	defer sp.End()
 	prevFailed := c.unavailableKey()
-	chunks, err := c.fetch(ctx, plan, metas, sp)
+	chunks, err := c.fetch(ctx, plan, req.Metas, wins, sp)
 	for attempt := 0; err != nil && attempt < len(c.sites); attempt++ {
 		if ctx.Err() != nil {
 			break // request deadline reached: replanning cannot help
@@ -928,36 +963,18 @@ func (c *Client) fetchBlocks(ctx context.Context, req placement.PlanRequest, tr 
 		}
 		prevFailed = nowFailed
 		c.obs.replans.Inc()
-		var planErr error
-		plan, _, planErr = c.plan.Plan(req, c.costs())
-		if planErr != nil {
-			sp.End()
-			return nil, fmt.Errorf("replan access: %w", planErr)
+		plan, _, err = c.plan.Plan(req, c.costs())
+		if err != nil {
+			return nil, fmt.Errorf("replan access: %w", err)
 		}
-		chunks, err = c.fetch(ctx, plan, metas, sp)
+		chunks, err = c.fetch(ctx, plan, req.Metas, wins, sp)
 	}
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	bd.Retrieve += time.Since(t2).Seconds()
 	c.obs.fetchH.Observe(time.Since(t2).Seconds())
-
-	t3 := time.Now()
-	sp = tr.StartSpan("decode")
-	out := make(map[model.BlockID][]byte, len(metas))
-	for id, meta := range metas {
-		data, err := c.assemble(meta, chunks[id])
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("decode %s: %w", id, err)
-		}
-		out[id] = data
-	}
-	sp.End()
-	bd.Decode += time.Since(t3).Seconds()
-	c.obs.decodeH.Observe(time.Since(t3).Seconds())
-	return out, nil
+	return chunks, nil
 }
 
 // blockUnreadable reports whether meta's block currently cannot be
@@ -971,6 +988,19 @@ func (c *Client) blockUnreadable(meta *model.BlockMeta) bool {
 // loop's early-stop check.
 func (c *Client) unavailableKey() string {
 	return fmt.Sprint(c.health.Unavailable())
+}
+
+// window narrows a chunk read to the byte range [lo, hi) of the chunk;
+// the zero window reads the whole chunk. A range read never needs an
+// empty window (zero-length ranges return before fetching).
+type window struct{ lo, hi int64 }
+
+// size returns how many bytes one chunk read of meta under w transfers.
+func (w window) size(meta *model.BlockMeta) int64 {
+	if w == (window{}) {
+		return meta.ChunkSize
+	}
+	return w.hi - w.lo
 }
 
 // fetchResult carries one chunk retrieval outcome.
@@ -988,8 +1018,9 @@ type fetchResult struct {
 // reads are canceled the moment the request is satisfied or fails, and
 // surplus late-binding responses are discarded as they trickle in. When
 // hedging is enabled, blocks still unsatisfied after the hedge threshold
-// get one extra chunk read from the cheapest not-yet-planned site.
-func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[model.BlockID]*model.BlockMeta, span obs.SpanRef) (map[model.BlockID]map[int][]byte, error) {
+// get one extra chunk read from the cheapest not-yet-planned site. Every
+// read of a block listed in wins fetches only that window.
+func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[model.BlockID]*model.BlockMeta, wins map[model.BlockID]window, span obs.SpanRef) (map[model.BlockID]map[int][]byte, error) {
 	total := plan.ChunkCount()
 	fetchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -1003,7 +1034,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 		if span.Active() {
 			siteSpan = span.Child("site " + strconv.FormatInt(int64(site), 10))
 		}
-		go c.fetchSite(fetchCtx, site, refs, siteSpan, results)
+		go c.fetchSite(fetchCtx, site, refs, wins, siteSpan, results)
 	}
 
 	planned := make(map[model.BlockID]map[int]bool, len(metas))
@@ -1085,7 +1116,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 
 		case <-hedgeC:
 			hedgeC = nil
-			n := c.launchHedges(fetchCtx, metas, planned, got, need, results)
+			n := c.launchHedges(fetchCtx, metas, wins, planned, got, need, results)
 			hedgesLaunched += n
 			outstanding += n
 
@@ -1111,7 +1142,7 @@ func (c *Client) fetch(ctx context.Context, plan *model.AccessPlan, metas map[mo
 // per site). After a site-level failure, the remaining refs fail fast
 // instead of being attempted, so a hung site costs at most one per-chunk
 // timeout per fetch round rather than one per planned read.
-func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.ChunkRef, siteSpan obs.SpanRef, results chan<- fetchResult) {
+func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.ChunkRef, wins map[model.BlockID]window, siteSpan obs.SpanRef, results chan<- fetchResult) {
 	defer siteSpan.End()
 	api := c.sites[site]
 	var down error
@@ -1126,7 +1157,7 @@ func (c *Client) fetchSite(ctx context.Context, site model.SiteID, refs []model.
 			results <- fetchResult{ref: ref, site: site, err: down}
 			continue
 		}
-		data, err := c.readChunk(ctx, api, ref)
+		data, err := c.readChunk(ctx, api, ref, wins[ref.Block])
 		results <- fetchResult{ref: ref, site: site, data: data, err: err}
 		if err != nil && !errors.Is(err, context.Canceled) && isSiteFailure(err) {
 			down = err
@@ -1158,14 +1189,16 @@ func (c *Client) hedgeThreshold() time.Duration {
 // launchHedges issues at most one extra chunk read per unsatisfied block,
 // extending late binding: the hedge targets a chunk the plan did not
 // select, fetched from the cheapest available holder under the Eq. 1 cost
-// model (o_j + m_j x chunk size). Returns how many hedges were started.
-func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*model.BlockMeta, planned map[model.BlockID]map[int]bool, got map[model.BlockID]map[int][]byte, need map[model.BlockID]int, results chan<- fetchResult) int {
+// model (o_j + m_j x bytes read, so a windowed read is costed by its
+// window). Returns how many hedges were started.
+func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*model.BlockMeta, wins map[model.BlockID]window, planned map[model.BlockID]map[int]bool, got map[model.BlockID]map[int][]byte, need map[model.BlockID]int, results chan<- fetchResult) int {
 	costs := c.costs()
 	launched := 0
 	for id, meta := range metas {
 		if len(got[id]) >= need[id] {
 			continue
 		}
+		w := wins[id]
 		best := -1
 		var bestCost float64
 		for chunk, site := range meta.Sites {
@@ -1178,7 +1211,7 @@ func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*mode
 			if c.sites[site] == nil || !c.available(site) {
 				continue
 			}
-			cost := costs.OCost(site) + costs.MCost(site)*float64(meta.ChunkSize)
+			cost := costs.OCost(site) + costs.MCost(site)*float64(w.size(meta))
 			if best == -1 || cost < bestCost {
 				best, bestCost = chunk, cost
 			}
@@ -1191,7 +1224,7 @@ func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*mode
 		api := c.sites[site]
 		launched++
 		go func(site model.SiteID, api storage.SiteAPI, ref model.ChunkRef) {
-			data, err := c.readChunk(ctx, api, ref)
+			data, err := c.readChunk(ctx, api, ref, w)
 			// The request may have been satisfied (or expired) while
 			// this hedge was in flight; never block on a collector
 			// that already went away.
@@ -1204,11 +1237,13 @@ func (c *Client) launchHedges(ctx context.Context, metas map[model.BlockID]*mode
 	return launched
 }
 
-// readChunk performs one chunk read under the per-attempt deadline and
-// retry policy. Missing chunks and deadline errors are never retried on
-// the same site: the former cannot improve, and the latter already cost a
-// full ChunkTimeout, so the site is left to the breaker and replanning.
-func (c *Client) readChunk(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef) ([]byte, error) {
+// readChunk performs one chunk read — of the whole chunk, or of window w
+// via GetChunkRange — under the per-attempt deadline and retry policy.
+// Missing chunks, short segments and deadline errors are never retried
+// on the same site: the first two cannot improve, and the last already
+// cost a full ChunkTimeout, so the site is left to the breaker and
+// replanning.
+func (c *Client) readChunk(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef, w window) ([]byte, error) {
 	var data []byte
 	var err error
 	for attempt := 0; attempt < c.cfg.Retry.MaxAttempts; attempt++ {
@@ -1218,18 +1253,23 @@ func (c *Client) readChunk(ctx context.Context, api storage.SiteAPI, ref model.C
 				return nil, ctx.Err()
 			}
 		}
-		data, err = c.readChunkOnce(ctx, api, ref)
+		cctx, cancel := c.chunkCtx(ctx)
+		if w == (window{}) {
+			data, err = api.GetChunk(cctx, ref)
+		} else {
+			data, err = api.GetChunkRange(cctx, ref, w.lo, w.hi-w.lo)
+			if err == nil && int64(len(data)) != w.hi-w.lo {
+				// A short segment means the stored chunk disagrees
+				// with the metadata's layout.
+				data, err = nil, fmt.Errorf("%w: %s [%d,%d) returned %d bytes", storage.ErrShortChunk, ref, w.lo, w.hi, len(data))
+			}
+		}
+		cancel()
 		if err == nil || !retryable(err) {
 			return data, err
 		}
 	}
 	return nil, err
-}
-
-func (c *Client) readChunkOnce(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef) ([]byte, error) {
-	cctx, cancel := c.chunkCtx(ctx)
-	defer cancel()
-	return api.GetChunk(cctx, ref)
 }
 
 // backoff sleeps the jittered exponential retry delay for the given
@@ -1254,10 +1294,12 @@ func (c *Client) backoff(ctx context.Context, attempt int) bool {
 
 // retryable reports whether an error is worth retrying against the same
 // site: transient transport and site errors are, while missing chunks
-// (stale metadata) and context expiry (the attempt already consumed its
-// deadline, or the caller is gone) are not.
+// (stale metadata), short segments (a layout mismatch) and context
+// expiry (the attempt already consumed its deadline, or the caller is
+// gone) are not.
 func retryable(err error) bool {
 	return !errors.Is(err, storage.ErrChunkNotFound) &&
+		!errors.Is(err, storage.ErrShortChunk) &&
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }

@@ -37,6 +37,7 @@ func TestRetryableClassification(t *testing.T) {
 		want bool
 	}{
 		{storage.ErrChunkNotFound, false}, // stale metadata: retrying cannot help
+		{storage.ErrShortChunk, false},    // layout mismatch: retrying cannot help
 		{context.Canceled, false},         // caller is gone
 		{context.DeadlineExceeded, false}, // attempt consumed its deadline
 		{storage.ErrSiteDown, true},

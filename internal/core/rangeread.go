@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"ecstore/internal/model"
-	"ecstore/internal/storage"
+	"ecstore/internal/placement"
 )
 
 // ErrRangeOutOfBounds reports a byte range outside a block.
@@ -15,9 +14,11 @@ var ErrRangeOutOfBounds = errors.New("core: range outside block")
 
 // GetRange reads n bytes of a block starting at byte offset off without
 // assembling the whole block: the range is mapped to the per-chunk
-// window of stripes it touches (erasure.Layout.Window), only those
-// chunk segments are fetched via GetChunkRange, and the window is
-// decoded and gathered into the requested bytes. For a striped block a
+// window of stripes it touches (erasure.Layout.Window), the chunks are
+// chosen, fetched and replanned exactly as for GetMulti (Eq. 1 plan,
+// late binding, hedging) but each read fetches only that window via
+// GetChunkRange, and the window is decoded and gathered into the
+// requested bytes. For a striped block a
 // small range therefore reads and decodes a small fraction of its
 // stripes; a legacy contiguous block degrades gracefully (a range
 // inside one data chunk stays tight, a chunk-crossing range reads whole
@@ -87,21 +88,29 @@ func (c *Client) rangeRead(ctx context.Context, meta *model.BlockMeta, off, n in
 			return data[off : off+n : off+n], nil
 		}
 	}
-	if meta.Scheme == model.SchemeReplicated {
-		return c.rangeReplica(ctx, meta, off, n)
-	}
 
+	// The range is fetched like any other block read — planned, late
+	// bound, hedged and replanned by planFetch — with every chunk read
+	// narrowed to the window the range maps to. A replicated block's
+	// copies are contiguous single "data chunks" (K = 1), so its window
+	// is the range itself.
 	lay := layoutOf(meta)
 	lo, hi, err := lay.Window(off, n)
 	if err != nil {
 		return nil, err
 	}
-	segs, err := c.fetchSegments(ctx, meta, lo, hi)
+	req := placement.PlanRequest{Metas: map[model.BlockID]*model.BlockMeta{meta.ID: meta}, Available: c.available}
+	var bd model.Breakdown // GetRange reports no phase breakdown
+	fetched, err := c.planFetch(ctx, req, map[model.BlockID]window{meta.ID: {lo, hi}}, nil, &bd)
 	if err != nil {
 		return nil, err
 	}
+	if meta.Scheme == model.SchemeReplicated {
+		c.obs.rangeBytes.Add(n)
+		return c.assemble(meta, fetched[meta.ID])
+	}
 	win := make([]byte, int64(meta.K)*(hi-lo))
-	if err := c.codec.DecodeInto(win, segs); err != nil {
+	if err := c.codec.DecodeInto(win, fetched[meta.ID]); err != nil {
 		return nil, fmt.Errorf("decode range of %s: %w", meta.ID, err)
 	}
 	dst := make([]byte, n)
@@ -111,150 +120,4 @@ func (c *Client) rangeRead(ctx context.Context, meta *model.BlockMeta, off, n in
 	c.obs.rangeStripes.Add(lay.WindowStripes(lo, hi))
 	c.obs.rangeBytes.Add(n)
 	return dst, nil
-}
-
-// rangeReplica serves a range of a replicated block: every copy holds
-// the whole block, so the bytes come straight from the first healthy
-// replica that answers.
-func (c *Client) rangeReplica(ctx context.Context, meta *model.BlockMeta, off, n int64) ([]byte, error) {
-	var lastErr error
-	for chunk := 0; chunk < len(meta.Sites); chunk++ {
-		site := meta.Sites[chunk]
-		api := c.sites[site]
-		if site == model.NoSite || api == nil || !c.available(site) {
-			continue
-		}
-		data, err := c.readSegment(ctx, api, model.ChunkRef{Block: meta.ID, Chunk: chunk}, off, n)
-		if err != nil {
-			c.obs.fetchErrors.Inc()
-			if isSiteFailure(err) {
-				c.health.ReportFailure(site)
-			}
-			lastErr = err
-			continue
-		}
-		c.health.ReportSuccess(site)
-		c.obs.chunksFetched.Inc()
-		c.obs.rangeBytes.Add(n)
-		return data, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrNoSites
-	}
-	return nil, fmt.Errorf("%w: %s: %w", ErrBlockUnavailable, meta.ID, lastErr)
-}
-
-// segResult carries one chunk-segment retrieval outcome.
-type segResult struct {
-	chunk int
-	site  model.SiteID
-	data  []byte
-	err   error
-}
-
-// fetchSegments retrieves the window [lo, hi) of any k of meta's chunks
-// in parallel. Data chunks are preferred (present data segments decode
-// by memcpy; every parity segment costs k kernel passes), breaker-open
-// sites are tried only as spares, and each failure promotes the next
-// candidate until k segments arrive or the candidates run out.
-func (c *Client) fetchSegments(ctx context.Context, meta *model.BlockMeta, lo, hi int64) (map[int][]byte, error) {
-	need := meta.K
-	var primary, spare []int
-	for chunk, site := range meta.Sites {
-		if site == model.NoSite || c.sites[site] == nil {
-			continue
-		}
-		if c.available(site) {
-			primary = append(primary, chunk)
-		} else {
-			spare = append(spare, chunk)
-		}
-	}
-	sort.Ints(primary)
-	sort.Ints(spare)
-	candidates := append(primary, spare...)
-	if len(candidates) < need {
-		return nil, fmt.Errorf("%w: %s has %d reachable chunks, need %d", ErrBlockUnavailable, meta.ID, len(candidates), need)
-	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan segResult, len(candidates))
-	launch := func(chunk int) {
-		site := meta.Sites[chunk]
-		api := c.sites[site]
-		go func() {
-			data, err := c.readSegment(fctx, api, model.ChunkRef{Block: meta.ID, Chunk: chunk}, lo, hi-lo)
-			select {
-			case results <- segResult{chunk: chunk, site: site, data: data, err: err}:
-			case <-fctx.Done():
-			}
-		}()
-	}
-	next := 0
-	inflight := 0
-	for ; next < need; next++ {
-		launch(candidates[next])
-		inflight++
-	}
-
-	segs := make(map[int][]byte, need)
-	var lastErr error
-	for len(segs) < need && inflight > 0 {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err != nil {
-				c.obs.fetchErrors.Inc()
-				if isSiteFailure(res.err) {
-					c.health.ReportFailure(res.site)
-				}
-				lastErr = res.err
-				if next < len(candidates) {
-					launch(candidates[next])
-					next++
-					inflight++
-				}
-				continue
-			}
-			c.health.ReportSuccess(res.site)
-			c.obs.chunksFetched.Inc()
-			segs[res.chunk] = res.data
-		case <-ctx.Done():
-			c.obs.deadlines.Inc()
-			return nil, fmt.Errorf("core: range fetch: %w", ctx.Err())
-		}
-	}
-	if len(segs) < need {
-		return nil, fmt.Errorf("%w: %s range fetch got %d of %d segments: %w", ErrBlockUnavailable, meta.ID, len(segs), need, lastErr)
-	}
-	return segs, nil
-}
-
-// readSegment performs one chunk-range read under the per-attempt
-// deadline and retry policy, mirroring readChunk's classification of
-// which failures are worth a second attempt on the same site.
-func (c *Client) readSegment(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef, off, n int64) ([]byte, error) {
-	var data []byte
-	var err error
-	for attempt := 0; attempt < c.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.obs.retries.Inc()
-			if !c.backoff(ctx, attempt) {
-				return nil, ctx.Err()
-			}
-		}
-		cctx, cancel := c.chunkCtx(ctx)
-		data, err = api.GetChunkRange(cctx, ref, off, n)
-		cancel()
-		if err == nil && int64(len(data)) != n {
-			// A short segment means the stored chunk disagrees with the
-			// metadata's layout; retrying the same site cannot help.
-			return nil, fmt.Errorf("%w: %s [%d,+%d) returned %d bytes", storage.ErrShortChunk, ref, off, n, len(data))
-		}
-		if err == nil || !retryable(err) {
-			return data, err
-		}
-	}
-	return nil, err
 }

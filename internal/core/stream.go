@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"ecstore/internal/erasure"
 	"ecstore/internal/model"
+	"ecstore/internal/storage"
 )
 
 // PutReader stores a block of unknown length from r through the
@@ -178,38 +178,13 @@ func (c *Client) streamPut(ctx context.Context, id model.BlockID, r io.Reader, m
 }
 
 // writeStripe ships one encoded stripe: chunk c's segment lands at
-// chunk offset t*StripeUnit on its site, with the same bounded fan-out
-// discipline as PutContext (at most PutFanout concurrent writers).
+// chunk offset t*StripeUnit on its site, through the same bounded
+// fan-out as PutContext.
 func (c *Client) writeStripe(ctx context.Context, id model.BlockID, chosen []model.SiteID, t int64, chunks [][]byte) error {
 	off := t * c.cfg.StripeUnit
-	errs := make([]error, len(chunks))
-	workers := c.cfg.PutFanout
-	if workers < 0 || workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				site := c.sites[chosen[i]]
-				if site == nil {
-					errs[i] = fmt.Errorf("%w: site %d", ErrNoSites, chosen[i])
-					continue
-				}
-				cctx, ccancel := c.chunkCtx(ctx)
-				errs[i] = site.PutChunkStream(cctx, model.ChunkRef{Block: id, Chunk: i}, off, chunks[i])
-				ccancel()
-			}
-		}()
-	}
-	wg.Wait()
+	errs := c.storeChunks(ctx, id, chosen, chunks, func(ctx context.Context, api storage.SiteAPI, ref model.ChunkRef, data []byte) error {
+		return api.PutChunkStream(ctx, ref, off, data)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("stream chunk %d stripe %d of %s: %w", i, t, id, err)

@@ -26,14 +26,18 @@ func TestPressureZeroValueAndNil(t *testing.T) {
 
 func TestPressureThreshold(t *testing.T) {
 	p := NewPressure(4)
-	for depth, want := range map[int]bool{0: false, 3: false, 4: true, 9: true} {
-		p.SetQueueDepth(depth)
-		if got := p.Overloaded(); got != want {
-			t.Errorf("depth %d: Overloaded() = %v, want %v", depth, got, want)
+	steps := []struct {
+		depth int
+		want  bool
+	}{{0, false}, {3, false}, {4, true}, {9, true}}
+	for _, s := range steps {
+		p.SetQueueDepth(s.depth)
+		if got := p.Overloaded(); got != s.want {
+			t.Errorf("depth %d: Overloaded() = %v, want %v", s.depth, got, s.want)
 		}
 	}
-	if p.QueueDepth() == 0 {
-		t.Fatal("QueueDepth should reflect the last published depth")
+	if got, want := p.QueueDepth(), steps[len(steps)-1].depth; got != want {
+		t.Fatalf("QueueDepth() = %d, want the last published depth %d", got, want)
 	}
 }
 

@@ -4,10 +4,11 @@
 // then reconstructs the lost chunks on healthy sites, choosing destinations
 // with the same load-aware logic as the chunk mover.
 //
-// The service no longer owns a goroutine: the unified scheduler in
-// internal/tasks drives CheckOnce as a periodic source and runs
-// RepairSite/RepairChunk as repair-priority tasks (see internal/core for
-// the wiring).
+// The service owns no goroutine. The task plane wired in internal/core
+// drives it through the internal/tasks scheduler: a periodic repair-sweep
+// source calls DueForRepair and enqueues one repair-site task per site
+// whose grace period expired, and RepairSite/RepairChunk run as
+// repair-priority tasks.
 package repair
 
 import (
@@ -122,7 +123,7 @@ func newRepairObs(reg *obs.Registry) repairObs {
 	return repairObs{
 		checks:      reg.Counter("repair_checks_total", "probe sweeps over all sites"),
 		repairedC:   reg.Counter("repair_repaired_chunks_total", "chunks reconstructed onto healthy sites"),
-		errorsC:     reg.Counter("repair_errors_total", "failed repair attempts (first error per sweep)"),
+		errorsC:     reg.Counter("repair_errors_total", "site repairs that failed to reconstruct at least one block"),
 		gcCollected: reg.Counter("repair_gc_collected_total", "orphaned chunks garbage-collected"),
 		failedSites: reg.Gauge("repair_failed_sites", "sites currently marked unavailable by the repair prober"),
 	}
@@ -243,24 +244,6 @@ func (s *Service) DueForRepair(ctx context.Context) []model.SiteID {
 	return due
 }
 
-// CheckOnce probes every site, updates failure marks, and repairs sites
-// whose grace period has expired. It returns the first repair error, if
-// any; probing continues regardless. The scheduler wiring in
-// internal/core uses DueForRepair + repair-site tasks instead, so site
-// repairs obey the task plane's concurrency caps and byte throttle.
-func (s *Service) CheckOnce(ctx context.Context) error {
-	var firstErr error
-	for _, id := range s.DueForRepair(ctx) {
-		if _, err := s.RepairSite(ctx, id); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		s.obs.errorsC.Inc()
-	}
-	return firstErr
-}
-
 // RepairSite reconstructs every chunk the failed site held onto healthy
 // sites. It returns the number of chunks reconstructed.
 func (s *Service) RepairSite(ctx context.Context, failed model.SiteID) (int, error) {
@@ -278,6 +261,9 @@ func (s *Service) RepairSite(ctx context.Context, failed model.SiteID) (int, err
 	s.repaired += int64(repaired)
 	s.mu.Unlock()
 	s.obs.repairedC.Add(int64(repaired))
+	if firstErr != nil {
+		s.obs.errorsC.Inc()
+	}
 	return repaired, firstErr
 }
 

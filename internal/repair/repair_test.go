@@ -143,7 +143,20 @@ func TestRepairUnrepairable(t *testing.T) {
 	}
 }
 
-func TestCheckOnceHonorsGracePeriod(t *testing.T) {
+// sweep runs one repair sweep the way the task plane's repair-sweep
+// source and repair-site tasks do: probe, then repair every due site.
+func sweep(t *testing.T, svc *repair.Service) error {
+	t.Helper()
+	var firstErr error
+	for _, id := range svc.DueForRepair(context.Background()) {
+		if _, err := svc.RepairSite(context.Background(), id); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+func TestSweepHonorsGracePeriod(t *testing.T) {
 	c := buildCluster(t, 8)
 	if err := c.Client.Put("blk", data(600, 4)); err != nil {
 		t.Fatal(err)
@@ -156,8 +169,8 @@ func TestCheckOnceHonorsGracePeriod(t *testing.T) {
 	svc := repair.NewService(repair.Config{Grace: 15 * time.Minute, Clock: clock}, c.Catalog, toAPIs(c), c.Loads)
 
 	c.FailSite(victim)
-	// First check: marks the failure but must not repair yet.
-	if err := svc.CheckOnce(context.Background()); err != nil {
+	// First sweep: marks the failure but must not repair yet.
+	if err := sweep(t, svc); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.FailedSites(); len(got) != 1 || got[0] != victim {
@@ -168,9 +181,9 @@ func TestCheckOnceHonorsGracePeriod(t *testing.T) {
 		t.Fatal("repair ran before the grace period expired")
 	}
 
-	// Advance past the grace period: repair runs.
+	// Advance past the grace period: the site comes due and repair runs.
 	now = now.Add(16 * time.Minute)
-	if err := svc.CheckOnce(context.Background()); err != nil {
+	if err := sweep(t, svc); err != nil {
 		t.Fatal(err)
 	}
 	after, _ = c.Catalog.BlockMeta("blk")
@@ -181,17 +194,17 @@ func TestCheckOnceHonorsGracePeriod(t *testing.T) {
 	}
 }
 
-func TestCheckOnceClearsRecoveredSite(t *testing.T) {
+func TestSweepClearsRecoveredSite(t *testing.T) {
 	c := buildCluster(t, 6)
 	now := time.Unix(0, 0)
 	svc := repair.NewService(repair.Config{Clock: func() time.Time { return now }}, c.Catalog, toAPIs(c), c.Loads)
 	c.FailSite(3)
-	_ = svc.CheckOnce(context.Background())
+	_ = sweep(t, svc)
 	if len(svc.FailedSites()) != 1 {
 		t.Fatal("failure not tracked")
 	}
 	c.RecoverSite(3)
-	_ = svc.CheckOnce(context.Background())
+	_ = sweep(t, svc)
 	if len(svc.FailedSites()) != 0 {
 		t.Fatal("recovered site still tracked as failed")
 	}

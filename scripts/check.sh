@@ -1,5 +1,6 @@
 #!/bin/sh
-# Pre-commit gate: vet and build everything, run the project lint suite
+# Pre-commit gate: vet and build everything (the perfbench benchmark
+# module included, with its tests), run the project lint suite
 # (internal/lint: context, locking, goroutine-leak, determinism, error
 # wrapping, metric naming, lock-order and pool-balance rules), run the
 # quick test suite under the
@@ -23,6 +24,10 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
+# perfbench is its own module (replace ecstore => ../), so the root
+# build above never compiles it; vet and test it explicitly so a core
+# API change cannot silently break the benchmark harness.
+(cd perfbench && go vet ./... && go test ./...)
 go run ./cmd/ecstore-lint ./...
 go test -race -short ./...
 go test -race ./internal/cache ./internal/core
